@@ -16,8 +16,16 @@ records the same rows/series the paper reports.
 from __future__ import annotations
 
 import os
+from typing import Any
 
 import pytest
+
+from repro.experiments import EXPERIMENTS
+
+#: The one backend every paper-claim benchmark runs on.  The backend
+#: equivalence gate proves its rows bit-identical to the serial
+#: engine's, and it runs the quick suite several times faster.
+BACKEND = "batched"
 
 
 def bench_scale() -> str:
@@ -30,6 +38,11 @@ def bench_scale() -> str:
 def scaled(config):
     """Apply the quick preset unless paper scale was requested."""
     return config if bench_scale() == "paper" else config.quick()
+
+
+def run_experiment(key: str, config: Any) -> Any:
+    """Run registry experiment ``key`` on ``config`` on :data:`BACKEND`."""
+    return EXPERIMENTS[key].run(config, backend=BACKEND)
 
 
 @pytest.fixture

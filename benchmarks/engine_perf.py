@@ -72,8 +72,7 @@ Groups of measurements (``--only GROUP`` runs a single one):
   ~3.2 GB, the sharded backend vs batched
   (``scale_sharded_speedup``; honest ~1.0x on a single-core box,
   where the backend degrades to in-process batched and the entry is
-  flagged ``sharded_degraded``), and ``fast_math=True`` vs the
-  default bit-exact mode (``scale_fastmath_speedup``).
+  flagged ``sharded_degraded``).
 
 After each group the harness records the process peak RSS
 (``getrusage().ru_maxrss``, self and pooled children) under
@@ -86,8 +85,7 @@ clean single-group reading.
 All sweeps are seeded, and every backend replays identical trials
 (bit-for-bit — see ``tests/properties/test_backend_equivalence.py``
 and ``tests/properties/test_sharded_equivalence.py``), so the timed
-work is the same per backend by construction (``fast_math`` entries
-excepted — that mode waives the contract by design).
+work is the same per backend by construction.
 
 ``--check-against BASELINE.json`` turns the harness into a regression
 gate: after timing, every ``*_speedup`` key in the fresh summary is
@@ -112,7 +110,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    BatchedBackend,
     CompleteNeighbors,
     Router,
     ShardedBackend,
@@ -172,12 +169,11 @@ def time_backend(
     seed: int,
     backend,
     max_rounds: int = 100_000,
-    label_backend: str | None = None,
 ) -> dict:
     """Run one sweep through one backend and report rounds/sec.
 
     ``backend`` may be a registry name or a pre-built backend instance
-    (how the ``fast_math`` and sharded ``e_scale`` entries run).
+    (how the sharded ``e_scale`` entry runs).
     """
     start = time.perf_counter()
     results = run_trials(
@@ -185,9 +181,7 @@ def time_backend(
     )
     seconds = time.perf_counter() - start
     total_rounds = int(sum(r.rounds for r in results))
-    name = label_backend or (
-        backend if isinstance(backend, str) else backend.name
-    )
+    name = backend if isinstance(backend, str) else backend.name
     return {
         "backend": name,
         "n": setup.n if hasattr(setup, "n") else setup.graph.n,
@@ -711,7 +705,7 @@ def group_e_router(report: dict, quick: bool, seed: int) -> dict:
 
 
 def group_e_scale(report: dict, quick: bool, seed: int) -> dict:
-    """The scale frontier: implicit kernels, sharding, fast_math."""
+    """The scale frontier: implicit kernels and sharding."""
     report["e_scale"] = []
 
     def record(entry: dict, label: str, topology_bytes: int, **extra):
@@ -824,35 +818,16 @@ def group_e_scale(report: dict, quick: bool, seed: int) -> dict:
         shard_entry["rounds_per_sec"] / base_entry["rounds_per_sec"]
     )
 
-    # fast_math vs the default bit-exact mode, same workload
-    fm_entry = record(
-        time_backend(
-            impl_setup,
-            mid_trials,
-            seed,
-            BatchedBackend(fast_math=True),
-            max_rounds=max_rounds,
-            label_backend="batched+fast_math",
-        ),
-        f"scale-fastmath(torus{rows}x{cols},m={m})",
-        0,
-    )
-    fastmath_speedup = (
-        fm_entry["rounds_per_sec"] / impl_entry["rounds_per_sec"]
-    )
-
     summary = {
         "scale_headline_rounds_per_sec": round(headline_rps, 1),
         "scale_implicit_speedup": round(implicit_speedup, 2),
         "scale_sharded_speedup": round(sharded_speedup, 2),
-        "scale_fastmath_speedup": round(fastmath_speedup, 2),
     }
     print(
         f"[summary  ] scale: headline {headline_rps:.1f} r/s, "
         f"implicit {implicit_speedup:.2f}x, sharded "
         f"{sharded_speedup:.2f}x"
         + (" (degraded)" if degraded else "")
-        + f", fast_math {fastmath_speedup:.2f}x"
     )
     if not quick:
         summary["scale_headline_target_rounds_per_sec"] = SCALE_TARGET_RPS

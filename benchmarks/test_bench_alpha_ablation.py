@@ -14,15 +14,17 @@ ablation sweeps ``alpha`` and verifies:
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import AlphaAblationConfig, run_alpha_ablation
+from repro.experiments import AlphaAblationConfig
 
 
 def test_alpha_ablation(benchmark, show):
     config = scaled(AlphaAblationConfig())
     result = benchmark.pedantic(
-        lambda: run_alpha_ablation(config), rounds=1, iterations=1
+        lambda: run_experiment("alpha_ablation", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

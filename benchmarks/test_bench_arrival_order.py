@@ -9,15 +9,17 @@ balancing times for both protocols on identical workloads.
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import ArrivalOrderConfig, run_arrival_order
+from repro.experiments import ArrivalOrderConfig
 
 
 def test_arrival_order(benchmark, show):
     config = scaled(ArrivalOrderConfig())
     result = benchmark.pedantic(
-        lambda: run_arrival_order(config), rounds=1, iterations=1
+        lambda: run_experiment("arrival_order", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

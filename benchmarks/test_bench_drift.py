@@ -14,15 +14,17 @@ constants:
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import DriftCheckConfig, run_drift_check
+from repro.experiments import DriftCheckConfig
 
 
 def test_drift_check(benchmark, show):
     config = scaled(DriftCheckConfig())
     result = benchmark.pedantic(
-        lambda: run_drift_check(config), rounds=1, iterations=1
+        lambda: run_experiment("drift_check", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

@@ -12,15 +12,17 @@ Paper's claims checked here:
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import Figure1Config, run_figure1
+from repro.experiments import Figure1Config
 
 
 def test_figure1(benchmark, show):
     config = scaled(Figure1Config())
     result = benchmark.pedantic(
-        lambda: run_figure1(config), rounds=1, iterations=1
+        lambda: run_experiment("figure1", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table(), "", result.chart())
 

@@ -14,15 +14,17 @@ Paper's claims checked here:
 from __future__ import annotations
 
 import numpy as np
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import Figure2Config, run_figure2
+from repro.experiments import Figure2Config
 
 
 def test_figure2(benchmark, show):
     config = scaled(Figure2Config())
     result = benchmark.pedantic(
-        lambda: run_figure2(config), rounds=1, iterations=1
+        lambda: run_experiment("figure2", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table(), "", result.chart())
 

@@ -9,15 +9,17 @@ proportionally, no matter what the protocol's local decisions are.
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import LowerBoundConfig, run_lower_bound
+from repro.experiments import LowerBoundConfig
 
 
 def test_lower_bound(benchmark, show):
     config = scaled(LowerBoundConfig())
     result = benchmark.pedantic(
-        lambda: run_lower_bound(config), rounds=1, iterations=1
+        lambda: run_experiment("lower_bound", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

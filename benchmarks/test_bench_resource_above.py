@@ -13,15 +13,17 @@ weights):
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import ResourceAboveConfig, run_resource_above
+from repro.experiments import ResourceAboveConfig
 
 
 def test_resource_above(benchmark, show):
     config = scaled(ResourceAboveConfig())
     result = benchmark.pedantic(
-        lambda: run_resource_above(config), rounds=1, iterations=1
+        lambda: run_experiment("resource_above", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

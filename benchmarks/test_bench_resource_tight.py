@@ -10,15 +10,17 @@ explicit Theorem 7 constant.
 from __future__ import annotations
 
 import numpy as np
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import ResourceTightConfig, run_resource_tight
+from repro.experiments import ResourceTightConfig
 
 
 def test_resource_tight(benchmark, show):
     config = scaled(ResourceTightConfig())
     result = benchmark.pedantic(
-        lambda: run_resource_tight(config), rounds=1, iterations=1
+        lambda: run_experiment("resource_tight", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

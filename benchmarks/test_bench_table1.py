@@ -14,15 +14,17 @@ sweep checked against the paper's asymptotic orders:
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import Table1Config, run_table1
+from repro.experiments import Table1Config
 
 
 def test_table1(benchmark, show):
     config = scaled(Table1Config())
     result = benchmark.pedantic(
-        lambda: run_table1(config), rounds=1, iterations=1
+        lambda: run_experiment("table1", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

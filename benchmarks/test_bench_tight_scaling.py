@@ -11,15 +11,17 @@ the paper's own simulation setup.
 
 from __future__ import annotations
 
-from conftest import scaled
+from conftest import run_experiment, scaled
 
-from repro.experiments import TightScalingConfig, run_tight_scaling
+from repro.experiments import TightScalingConfig
 
 
 def test_tight_scaling(benchmark, show):
     config = scaled(TightScalingConfig())
     result = benchmark.pedantic(
-        lambda: run_tight_scaling(config), rounds=1, iterations=1
+        lambda: run_experiment("tight_scaling", config),
+        rounds=1,
+        iterations=1,
     )
     show(result.format_table())
 

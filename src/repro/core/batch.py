@@ -45,11 +45,14 @@ compares against, so chunks with heterogeneous (or mixed
 uniform/heterogeneous) speed vectors vectorise exactly like uniform
 ones and need no signature change.
 
-Dynamic (online-regime) chunks — trials whose states carry a compiled
-:class:`~repro.workloads.dynamics.DynamicsSchedule` — vectorise too.
-The batch allocates one *slot* per task that will ever exist (initial
-population plus the largest per-trial arrival count) and one extra
-*parking column* per trial (local resource index ``n``, stride
+One driver, :meth:`BatchedBackend._run_vectorized`, runs one-shot and
+dynamic (online-regime) chunks alike; a dynamic chunk — trials whose
+states carry a compiled
+:class:`~repro.workloads.dynamics.DynamicsSchedule` — adds an event
+step to each round (:class:`_BatchEvents`).  Its batch allocates one
+*slot* per task that will ever exist (initial population plus the
+largest per-trial arrival count) and one extra *parking column* per
+trial (local resource index ``n``, stride
 ``n + 1``): unborn and departed slots sit in the parking column with
 weight ``0.0`` and an infinite bound, so they never overload, never
 move, contribute exactly ``0.0`` to every load bin they never touch,
@@ -58,8 +61,9 @@ applies the schedule's departures and arrivals through the same
 order-merge the protocol movers use (disjoint destination keys, so one
 merge call equals the dense remove-then-add), then steps the kernels
 unchanged — every per-trial reduction sees exactly the dense operand
-lengths, which preserves the bit-for-bit contract.  Static chunks have
-``stride == n`` and zero parked slots, so their arithmetic is untouched.
+lengths, which preserves the bit-for-bit contract.  One-shot chunks
+keep ``stride == n``, no parked slots and no time series, so they pay
+neither the wider layout nor the event step.
 
 Two hot-loop economies keep the engine fast at the scale frontier
 (n ~ 10^5, m ~ 10^6 per trial) without touching the contract above:
@@ -73,17 +77,9 @@ Two hot-loop economies keep the engine fast at the scale frontier
   ``key * (m + 1) + arrival`` always computes in int64.
 * **Scratch reuse.**  The sorted-weight gather, the row-wise cumsum,
   the merge output and the dynamic inverse-permutation all write into
-  buffers allocated once per chunk (the merge ping-pongs ``order``
-  against a twin buffer), so steady-state rounds allocate almost
-  nothing; static chunks additionally skip all dynamic bookkeeping.
-
-``BatchedBackend(fast_math=True)`` goes further and **waives the
-bit-exactness contract** (results stay statistically equivalent but may
-differ in float rounding): kernels reuse the incrementally maintained
-load matrix instead of recomputing the fresh ``bincount`` every round,
-and reduce per-trial migrated weight with one segmented ``bincount``
-instead of the dense per-trial summation order.  Never use it where
-results are compared bit-for-bit against another backend.
+  buffers allocated once per chunk (the merge alternates ``order``
+  with a second buffer), so steady-state rounds allocate almost
+  nothing.
 
 Protocols opt into vectorisation by overriding
 :meth:`~repro.core.protocols.base.Protocol.step_batch` to accept a
@@ -112,7 +108,14 @@ from typing import TYPE_CHECKING
 from .backends import SimulationBackend, TrialSetup
 from .protocols.base import Protocol
 from .protocols.user_controlled import _ceil_lots
-from .simulator import RunResult, _TraceBuffer, simulate
+from .simulator import (
+    _SERIES_FIELDS,
+    _TRACE_FIELDS,
+    RunResult,
+    _buffer_fields,
+    _TraceBuffer,
+    simulate,
+)
 from .state import SystemState
 
 if TYPE_CHECKING:
@@ -144,6 +147,9 @@ class BatchFallbackWarning(RuntimeWarning):
 #: batch: ~0.75 MB per float64 array on typical L2/L3 sizes beats
 #: stacking everything at once by ~2x (measured on the E1 workload).
 DEFAULT_CHUNK_ELEMENTS = 96_000
+
+#: ``_BatchEvents.next_ev`` of a trial with no event left.
+_NO_EVENT = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -319,20 +325,12 @@ class BatchState:
         #: When False, kernels may skip the stats reductions that only
         #: feed traces (potential / overload count / max load).
         self.record_stats = False
-        #: When True (set by ``BatchedBackend(fast_math=True)``), the
-        #: kernels may trade the dense float-accumulation order for
-        #: speed: :meth:`fresh_loads` serves :attr:`loads_cache` and
-        #: migrated weight reduces via segmented ``bincount``.
-        self.fast_math = False
-        #: Engine-maintained load matrix for fast-math rounds (``None``
-        #: outside them); see :meth:`fresh_loads`.
-        self.loads_cache: np.ndarray | None = None
         self._scratch_arange = np.arange(A * m, dtype=self.idx)
         self._scratch_keep = np.ones(A * m, dtype=bool)
         self._scratch_u = np.empty((A, m))
         self._scratch_indptr = np.zeros((A, stride + 1), dtype=np.int64)
         # Round-persistent buffers: sorted-weight gather + row cumsum
-        # (every kernel, every round) and the merge ping-pong twin of
+        # (every kernel, every round) and the merge's second buffer for
         # ``order`` (see _merge_movers); the dynamic inverse permutation
         # only exists for dynamic chunks — static ones never build it.
         self._scratch_ws = np.empty(A * m)
@@ -346,16 +344,7 @@ class BatchState:
     def fresh_loads(self) -> np.ndarray:
         """Load matrix ``(A, stride)`` recomputed exactly like the dense
         partition (one weighted ``bincount`` in task-index order; the
-        dynamic parking column only ever accumulates zeros).
-
-        Under ``fast_math`` the engine publishes its incrementally
-        maintained matrix in :attr:`loads_cache` before each round and
-        this returns it as-is — same statistics, different float
-        accumulation order, no ``O(A * m)`` bincount.  Kernels only read
-        the returned matrix, so serving the engine's array is safe.
-        """
-        if self.fast_math and self.loads_cache is not None:
-            return self.loads_cache
+        dynamic parking column only ever accumulates zeros)."""
         return np.bincount(
             self.key_task.ravel(),
             weights=self.w_task.ravel(),
@@ -481,7 +470,7 @@ class BatchState:
         # before it; ``ins`` is sorted, so the shift is a step function.
         spans = np.diff(np.concatenate(([0], ins, [n_stay])))
         shift = np.repeat(np.arange(n_mov + 1, dtype=np.int64), spans)
-        # Ping-pong: write the merged permutation into the twin buffer
+        # Ping-pong: write the merged permutation into the second buffer
         # and swap it with ``order`` (``stay`` is a boolean-index copy,
         # so the two scatters below fully overwrite the buffer without
         # reading it) — steady-state merges allocate nothing.
@@ -622,7 +611,6 @@ class BatchState:
         self._order_buf = self._order_buf[:size]
         if self.dynamic:
             self._scratch_inv = self._scratch_inv[:size]
-        self.loads_cache = None  # row set changed; engine republishes
 
     # ------------------------------------------------------------------
     def extract(self, rows: np.ndarray) -> "BatchState":
@@ -646,12 +634,6 @@ class BatchState:
         sub.m0 = self.m0
         self._rebase_rows_onto(sub, rows)
         sub.record_stats = self.record_stats
-        sub.fast_math = self.fast_math
-        sub.loads_cache = (
-            np.ascontiguousarray(self.loads_cache[rows])
-            if self.loads_cache is not None
-            else None
-        )
         k = sub.A
         size = k * self.m
         sub._scratch_arange = self._scratch_arange[:size]
@@ -693,16 +675,6 @@ class BatchedBackend(SimulationBackend):
         Trials stacked per chunk; ``None`` sizes chunks so the flat
         arrays hold about :data:`DEFAULT_CHUNK_ELEMENTS` task slots.
         Chunking only bounds memory — results are independent of it.
-    fast_math:
-        When True, **waive the bit-exactness contract** for speed:
-        vectorised rounds reuse the incrementally maintained load
-        matrix instead of recomputing the fresh per-round ``bincount``
-        (static chunks only — dynamic chunks always recompute), and
-        migrated weight reduces via one segmented ``bincount`` instead
-        of the dense per-trial summation order.  Results are
-        statistically equivalent but may differ from the other backends
-        in float rounding, so never combine with cross-backend
-        bit-for-bit comparisons.  Default False.
 
     Notes
     -----
@@ -720,13 +692,10 @@ class BatchedBackend(SimulationBackend):
 
     name = "batched"
 
-    def __init__(
-        self, max_batch: int | None = None, fast_math: bool = False
-    ) -> None:
+    def __init__(self, max_batch: int | None = None) -> None:
         if max_batch is not None and max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self.max_batch = max_batch
-        self.fast_math = bool(fast_math)
         #: Fallback reasons already warned about in the current
         #: ``run_trials`` call (reset at each entry).
         self._warned_fallbacks: set[str] = set()
@@ -788,10 +757,6 @@ class BatchedBackend(SimulationBackend):
         for protocol, state in zip(protocols, states):
             protocol.validate_state(state)
         if self._vectorizable(protocols, states):
-            if states[0].dynamics is not None:
-                return self._run_vectorized_dynamic(
-                    protocols, states, rngs, max_rounds, record_traces
-                )
             return self._run_vectorized(
                 protocols, states, rngs, max_rounds, record_traces
             )
@@ -867,6 +832,16 @@ class BatchedBackend(SimulationBackend):
         max_rounds: int,
         record_traces: bool,
     ) -> list[RunResult]:
+        """Run :func:`~repro.core.simulator.simulate` in lockstep across
+        the chunk.
+
+        Each round applies the schedules' events (dynamic chunks only,
+        see :class:`_BatchEvents`), steps the shared kernel once for
+        every live trial, records the traces and retires the trials
+        that are done: balanced, and past their last scheduled event.
+        All per-trial arithmetic matches the dense loop operation for
+        operation, so results are bit-for-bit identical.
+        """
         B = len(states)
         protocol = protocols[0]  # signature-checked interchangeable
         # ... but names may differ cosmetically (e.g. per-trial graph
@@ -874,160 +849,9 @@ class BatchedBackend(SimulationBackend):
         names = [p.name for p in protocols]
         batch = BatchState(states)
         batch.record_stats = record_traces
-        batch.fast_math = self.fast_math
+        events = _BatchEvents(states) if batch.dynamic else None
+        n = batch.n
         del states  # the stacked arrays are authoritative from here on
-
-        total_movers = np.zeros(B, dtype=np.int64)
-        total_weight = np.zeros(B)
-        rounds = np.zeros(B, dtype=np.int64)
-        traces = (
-            [
-                [
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                ]
-                for _ in range(B)
-            ]
-            if record_traces
-            else None
-        )
-        results: list[RunResult | None] = [None] * B
-
-        loads = batch.fresh_loads()
-        live = np.arange(B)
-
-        def finish(
-            chunk_rows: np.ndarray, loads_now: np.ndarray, balanced: bool
-        ) -> None:
-            for row in chunk_rows:
-                trial = int(live[row])
-                bufs = traces[trial] if record_traces else None
-                results[trial] = RunResult(
-                    balanced=balanced,
-                    rounds=int(rounds[trial]),
-                    final_loads=loads_now[row].copy(),
-                    threshold=batch.thresholds[row],
-                    total_migrations=int(total_movers[trial]),
-                    total_migrated_weight=float(total_weight[trial]),
-                    potential_trace=bufs[0].array() if bufs else None,
-                    overloaded_trace=bufs[1].array() if bufs else None,
-                    movers_trace=bufs[2].array() if bufs else None,
-                    max_load_trace=bufs[3].array() if bufs else None,
-                    protocol_name=names[trial],
-                    speeds=batch.speeds_rows[row],
-                )
-
-        done = batch.balanced_mask(loads)
-        if done.any():
-            finish(np.flatnonzero(done), loads, balanced=True)
-            keep = ~done
-            batch.compact(keep)
-            live = live[keep]
-            loads = loads[keep]
-
-        live_rngs = [rngs[t] for t in live]
-        executed = 0
-        while live.size and executed < max_rounds:
-            if self.fast_math:
-                # publish the maintained matrix so fresh_loads() can
-                # skip its O(A*m) bincount this round
-                batch.loads_cache = loads
-            stats = protocol.step_batch(batch, live_rngs)
-            executed += 1
-            rounds[live] = executed
-            total_movers[live] += stats.movers
-            total_weight[live] += stats.moved_weight
-            if record_traces:
-                for row, trial in enumerate(live):
-                    bufs = traces[trial]
-                    bufs[0].append(stats.potential_before[row])
-                    bufs[1].append(stats.overloaded_before[row])
-                    bufs[2].append(stats.movers[row])
-                    bufs[3].append(stats.max_load_before[row])
-            loads = stats.loads_after
-            done = batch.balanced_mask(loads)
-            if done.any():
-                finish(np.flatnonzero(done), loads, balanced=True)
-                keep = ~done
-                batch.compact(keep)
-                live = live[keep]
-                loads = loads[keep]
-                live_rngs = [r for r, k in zip(live_rngs, keep) if k]
-
-        if live.size:  # round budget exhausted: censored, like the dense path
-            finish(np.arange(live.size), loads, balanced=False)
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_vectorized_dynamic(
-        self,
-        protocols: list[Protocol],
-        states: list[SystemState],
-        rngs: list[np.random.Generator],
-        max_rounds: int,
-        record_traces: bool,
-    ) -> list[RunResult]:
-        """The online-regime twin of :meth:`_run_vectorized`.
-
-        Mirrors ``simulator._simulate_dynamic`` in lockstep across the
-        chunk: each round applies the schedules' departures/arrivals to
-        the batch (parking-column slot moves), re-evaluates per-trial
-        thresholds where the population changed, steps the shared
-        kernel, then records the online time series and retires trials
-        whose schedule is exhausted and whose loads are in bound.  All
-        per-trial arithmetic matches the dense loop operation for
-        operation, so results are bit-for-bit identical.
-        """
-        B = len(states)
-        protocol = protocols[0]
-        names = [p.name for p in protocols]
-        scheds = [s.dynamics for s in states]
-        last_event = np.array(
-            [sc.last_event_round for sc in scheds], dtype=np.int64
-        )
-        # the dense loop seeds its running W(t) from state.weights.sum()
-        live_weight = np.array([float(s.weights.sum()) for s in states])
-        batch = BatchState(states)
-        batch.record_stats = record_traces
-        # fast_math in dynamic mode only relaxes the migrated-weight
-        # reduction: the load matrix is always recomputed fresh, since
-        # population events change weights between rounds.
-        batch.fast_math = self.fast_math
-        n, m, m0 = batch.n, batch.m, batch.m0
-        del states
-
-        # Event-round skip: most rounds see no arrival and no departure,
-        # so scanning the (A, m) depart matrix every round is pure
-        # overhead.  Precompute each trial's sorted distinct event
-        # rounds; the O(A*m) scan below only runs on rounds where some
-        # live trial actually has an event (a superset check, so the
-        # skipped rounds are exact no-ops and results are unchanged).
-        from ..workloads.dynamics import INFINITE_LIFETIME
-
-        NO_EVENT = np.iinfo(np.int64).max
-        event_rounds: list[np.ndarray] = []
-        for sc in scheds:
-            ev = np.unique(
-                np.concatenate(
-                    [
-                        sc.arrive_round,
-                        sc.initial_depart[
-                            sc.initial_depart < INFINITE_LIFETIME
-                        ],
-                        sc.arrive_depart[
-                            sc.arrive_depart < INFINITE_LIFETIME
-                        ],
-                    ]
-                )
-            )
-            event_rounds.append(ev.astype(np.int64, copy=False))
-        eptr = np.zeros(B, dtype=np.int64)
-        next_ev = np.array(
-            [ev[0] if ev.size else NO_EVENT for ev in event_rounds],
-            dtype=np.int64,
-        )
 
         total_movers = np.zeros(B, dtype=np.int64)
         total_weight = np.zeros(B)
@@ -1037,10 +861,7 @@ class BatchedBackend(SimulationBackend):
             if record_traces
             else None
         )
-        dyn_traces = [[_TraceBuffer() for _ in range(4)] for _ in range(B)]
         results: list[RunResult | None] = [None] * B
-        ptr = np.zeros(B, dtype=np.int64)  # arrivals consumed, per trial
-
         loads = batch.fresh_loads()
         live = np.arange(B)
 
@@ -1051,8 +872,6 @@ class BatchedBackend(SimulationBackend):
         ) -> None:
             for row in chunk_rows:
                 trial = int(live[row])
-                bufs = traces[trial] if record_traces else None
-                dbufs = dyn_traces[trial]
                 results[trial] = RunResult(
                     balanced=bool(balanced[row]),
                     rounds=int(rounds[trial]),
@@ -1060,147 +879,23 @@ class BatchedBackend(SimulationBackend):
                     threshold=batch.thresholds[row],
                     total_migrations=int(total_movers[trial]),
                     total_migrated_weight=float(total_weight[trial]),
-                    potential_trace=bufs[0].array() if bufs else None,
-                    overloaded_trace=bufs[1].array() if bufs else None,
-                    movers_trace=bufs[2].array() if bufs else None,
-                    max_load_trace=bufs[3].array() if bufs else None,
                     protocol_name=names[trial],
                     speeds=batch.speeds_rows[row],
-                    live_tasks_trace=dbufs[0].array(),
-                    total_weight_trace=dbufs[1].array(),
-                    makespan_trace=dbufs[2].array(),
-                    violation_trace=dbufs[3].array(),
+                    **_buffer_fields(
+                        _TRACE_FIELDS, traces[trial] if traces else None
+                    ),
+                    **_buffer_fields(
+                        _SERIES_FIELDS,
+                        events.series[trial] if events else None,
+                    ),
                 )
 
-        done = batch.balanced_mask(loads) & (last_event[live] < 1)
-        if done.any():
-            finish(np.flatnonzero(done), loads, done)
-            keep = ~done
-            batch.compact(keep)
-            live = live[keep]
-            loads = loads[keep]
-
-        live_rngs = [rngs[t] for t in live]
+        live_rngs = list(rngs)
         executed = 0
-        while live.size and executed < max_rounds:
-            t = executed + 1
-            # --- departures then arrivals, like the dense loop ---
-            # Rounds where no live trial has a scheduled event skip the
-            # whole block (including the O(A*m) departure scan): the
-            # precomputed event rounds are a superset of the rounds the
-            # scan could fire on, so the skip is an exact no-op.
-            run_events = bool(np.any(next_ev[live] <= t))
-            if run_events:
-                dep_mask = (batch.depart_slot == t) & batch.live_mask
-                arr_hi = np.array(
-                    [
-                        np.searchsorted(
-                            scheds[trial].arrive_round, t, side="right"
-                        )
-                        for trial in live
-                    ],
-                    dtype=np.int64,
-                )
-                arr_lo = ptr[live]
-                for row in np.flatnonzero(next_ev[live] <= t):
-                    trial = int(live[row])
-                    ev = event_rounds[trial]
-                    e = eptr[trial] + 1
-                    eptr[trial] = e
-                    next_ev[trial] = ev[e] if e < ev.shape[0] else NO_EVENT
-            if run_events and (dep_mask.any() or np.any(arr_hi > arr_lo)):
-                dep_abs = np.flatnonzero(dep_mask.ravel())
-                if dep_abs.size:
-                    dep_trial = dep_abs // m
-                    dep_counts = np.bincount(dep_trial, minlength=live.size)
-                    off = np.concatenate(([0], np.cumsum(dep_counts)))
-                    w_dep = batch.w_task.ravel()[dep_abs]
-                    for row in np.flatnonzero(dep_counts):
-                        live_weight[live[row]] -= float(
-                            w_dep[off[row] : off[row + 1]].sum()
-                        )
-                arr_abs_parts: list[np.ndarray] = []
-                arr_place_parts: list[np.ndarray] = []
-                arr_weight_parts: list[np.ndarray] = []
-                for row in np.flatnonzero(arr_hi > arr_lo):
-                    trial = int(live[row])
-                    lo, hi = int(arr_lo[row]), int(arr_hi[row])
-                    sc = scheds[trial]
-                    arr_abs_parts.append(
-                        row * m + m0 + np.arange(lo, hi, dtype=np.int64)
-                    )
-                    arr_place_parts.append(sc.arrive_place[lo:hi])
-                    w_new = sc.arrive_weight[lo:hi]
-                    arr_weight_parts.append(w_new)
-                    live_weight[trial] += float(w_new.sum())
-                    ptr[trial] = hi
-                empty_i = np.empty(0, dtype=np.int64)
-                empty_f = np.empty(0)
-                arr_abs = (
-                    np.concatenate(arr_abs_parts)
-                    if arr_abs_parts
-                    else empty_i
-                )
-                arr_place = (
-                    np.concatenate(arr_place_parts)
-                    if arr_place_parts
-                    else empty_i
-                )
-                arr_weight = (
-                    np.concatenate(arr_weight_parts)
-                    if arr_weight_parts
-                    else empty_f
-                )
-                changed = batch.apply_population_events(
-                    dep_abs, arr_abs, arr_place, arr_weight
-                )
-                for row in np.flatnonzero(changed):
-                    sc = scheds[int(live[row])]
-                    if sc.policy is None or batch.m_live[row] == 0:
-                        continue
-                    w_row = batch.w_task[row][batch.live_mask[row]]
-                    t_new = sc.policy.compute_for(
-                        w_row, n, speeds=batch.speeds_rows[row]
-                    )
-                    batch.thresholds[row] = t_new
-                    batch.t_res[row] = np.asarray(t_new, dtype=np.float64)
-                    if batch.speeds is not None:
-                        # rethreshold refresh of the stacked cap plane
-                        # (same s * T operand order as BatchState init)
-                        batch.cap[row] = (
-                            batch.speeds[row]  # lint: allow-capacity
-                            * batch.t_res[row]
-                        )
-                    # speeds None: cap aliases t_res, already updated
-                    batch.bound[row, :n] = batch.cap[row] + batch.atol[row]
-
-            stats = protocol.step_batch(batch, live_rngs)
-            executed += 1
-            rounds[live] = executed
-            total_movers[live] += stats.movers
-            total_weight[live] += stats.moved_weight
-            loads = stats.loads_after
-            viol = (loads[:, :n] > batch.bound[:, :n]).sum(axis=1)
-            for row, trial in enumerate(live):
-                if record_traces:
-                    bufs = traces[trial]
-                    bufs[0].append(stats.potential_before[row])
-                    bufs[1].append(stats.overloaded_before[row])
-                    bufs[2].append(stats.movers[row])
-                    bufs[3].append(stats.max_load_before[row])
-                dbufs = dyn_traces[trial]
-                dbufs[0].append(int(batch.m_live[row]))
-                dbufs[1].append(live_weight[trial])
-                if batch.speeds is None:
-                    span = float(loads[row, :n].max())
-                else:
-                    span = float(
-                        (loads[row, :n] / batch.speeds[row]).max()
-                    )
-                dbufs[2].append(span if n else 0.0)
-                dbufs[3].append(int(viol[row]))
-
-            done = batch.balanced_mask(loads) & (last_event[live] <= executed)
+        while True:
+            done = batch.balanced_mask(loads)
+            if events is not None:
+                done &= events.last_event[live] <= executed
             if done.any():
                 finish(np.flatnonzero(done), loads, done)
                 keep = ~done
@@ -1208,9 +903,29 @@ class BatchedBackend(SimulationBackend):
                 live = live[keep]
                 loads = loads[keep]
                 live_rngs = [r for r, k in zip(live_rngs, keep) if k]
+            if not live.size or executed >= max_rounds:
+                break
+            if events is not None:
+                events.apply(batch, live, executed + 1)
+            stats = protocol.step_batch(batch, live_rngs)
+            executed += 1
+            rounds[live] = executed
+            total_movers[live] += stats.movers
+            total_weight[live] += stats.moved_weight
+            if traces is not None:
+                for row, trial in enumerate(live):
+                    bufs = traces[trial]
+                    bufs[0].append(stats.potential_before[row])
+                    bufs[1].append(stats.overloaded_before[row])
+                    bufs[2].append(stats.movers[row])
+                    bufs[3].append(stats.max_load_before[row])
+            loads = stats.loads_after
+            if events is not None:
+                events.record(batch, live, loads)
 
-        if live.size:  # budget exhausted — report per-row balance honestly
-            finish(np.arange(live.size), loads, batch.balanced_mask(loads))
+        # budget exhausted: censored, reporting per-row balance like the
+        # dense loop (a one-shot row still live here is never balanced)
+        finish(np.arange(live.size), loads, batch.balanced_mask(loads))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -1239,6 +954,146 @@ class BatchedBackend(SimulationBackend):
             )
             for protocol, state, rng in zip(protocols, states, rngs)
         ]
+
+
+class _BatchEvents:
+    """The event step of a batched run on a chunk of dynamic trials.
+
+    :class:`~repro.core.simulator._EventStep` across the chunk: round
+    ``t`` moves the slots departing at ``t`` to the parking column,
+    places the round-``t`` arrivals on their slots and re-evaluates the
+    threshold of each trial whose population changed; :meth:`record`
+    then appends every live trial's online time series entries.  The
+    running per-trial weight ``W(t)`` and the consumed-arrival pointers
+    are indexed by trial (chunk position), not by batch row.
+    """
+
+    def __init__(self, states: list[SystemState]) -> None:
+        # every state carries a schedule (BatchState checked that)
+        self.scheds = [s.dynamics for s in states if s.dynamics is not None]
+        self.last_event = np.array(
+            [sc.last_event_round for sc in self.scheds], dtype=np.int64
+        )
+        # the dense loop seeds its running W(t) from state.weights.sum()
+        self.live_weight = np.array([float(s.weights.sum()) for s in states])
+        self.ptr = np.zeros(len(states), dtype=np.int64)  # arrivals consumed
+        self.series = [[_TraceBuffer() for _ in range(4)] for _ in states]
+        # Event-round skip: most rounds see no arrival and no departure,
+        # so scanning the (A, m) depart matrix every round is pure
+        # overhead.  Each trial's sorted distinct event rounds let the
+        # O(A*m) scan run only on rounds where some live trial actually
+        # has an event (a superset check, so the skipped rounds are
+        # exact no-ops and results are unchanged).
+        from ..workloads.dynamics import INFINITE_LIFETIME
+
+        self.event_rounds = [
+            np.unique(
+                np.concatenate(
+                    [
+                        sc.arrive_round,
+                        sc.initial_depart[
+                            sc.initial_depart < INFINITE_LIFETIME
+                        ],
+                        sc.arrive_depart[sc.arrive_depart < INFINITE_LIFETIME],
+                    ]
+                )
+            ).astype(np.int64, copy=False)
+            for sc in self.scheds
+        ]
+        self.eptr = np.zeros(len(states), dtype=np.int64)
+        self.next_ev = np.array(
+            [ev[0] if ev.size else _NO_EVENT for ev in self.event_rounds],
+            dtype=np.int64,
+        )
+
+    def apply(self, batch: BatchState, live: np.ndarray, t: int) -> None:
+        """Apply round ``t``'s departures and arrivals to ``batch``."""
+        due = self.next_ev[live] <= t
+        if not due.any():
+            return
+        for row in np.flatnonzero(due):
+            trial = int(live[row])
+            ev = self.event_rounds[trial]
+            e = self.eptr[trial] + 1
+            self.eptr[trial] = e
+            self.next_ev[trial] = ev[e] if e < ev.shape[0] else _NO_EVENT
+        m, m0 = batch.m, batch.m0
+        scheds = self.scheds
+        dep_mask = (batch.depart_slot == t) & batch.live_mask
+        arr_hi = np.array(
+            [
+                np.searchsorted(scheds[trial].arrive_round, t, side="right")
+                for trial in live
+            ],
+            dtype=np.int64,
+        )
+        arr_lo = self.ptr[live]
+        if not (dep_mask.any() or np.any(arr_hi > arr_lo)):
+            return
+        dep_abs = np.flatnonzero(dep_mask.ravel())
+        if dep_abs.size:
+            dep_counts = np.bincount(dep_abs // m, minlength=live.size)
+            off = np.concatenate(([0], np.cumsum(dep_counts)))
+            w_dep = batch.w_task.ravel()[dep_abs]
+            for row in np.flatnonzero(dep_counts):
+                self.live_weight[live[row]] -= float(
+                    w_dep[off[row] : off[row + 1]].sum()
+                )
+        arr_abs = [np.empty(0, dtype=np.int64)]
+        arr_place = [np.empty(0, dtype=np.int64)]
+        arr_weight = [np.empty(0)]
+        for row in np.flatnonzero(arr_hi > arr_lo):
+            trial = int(live[row])
+            lo, hi = int(arr_lo[row]), int(arr_hi[row])
+            sc = scheds[trial]
+            arr_abs.append(row * m + m0 + np.arange(lo, hi, dtype=np.int64))
+            arr_place.append(sc.arrive_place[lo:hi])
+            w_new = sc.arrive_weight[lo:hi]
+            arr_weight.append(w_new)
+            self.live_weight[trial] += float(w_new.sum())
+            self.ptr[trial] = hi
+        changed = batch.apply_population_events(
+            dep_abs,
+            np.concatenate(arr_abs),
+            np.concatenate(arr_place),
+            np.concatenate(arr_weight),
+        )
+        n = batch.n
+        for row in np.flatnonzero(changed):
+            sc = scheds[int(live[row])]
+            if sc.policy is None or batch.m_live[row] == 0:
+                continue
+            w_row = batch.w_task[row][batch.live_mask[row]]
+            t_new = sc.policy.compute_for(
+                w_row, n, speeds=batch.speeds_rows[row]
+            )
+            batch.thresholds[row] = t_new
+            batch.t_res[row] = np.asarray(t_new, dtype=np.float64)
+            if batch.speeds is not None:
+                # rethreshold refresh of the stacked cap plane
+                # (same s * T operand order as BatchState init)
+                batch.cap[row] = (
+                    batch.speeds[row]  # lint: allow-capacity
+                    * batch.t_res[row]
+                )
+            # speeds None: cap aliases t_res, already updated
+            batch.bound[row, :n] = batch.cap[row] + batch.atol[row]
+
+    def record(
+        self, batch: BatchState, live: np.ndarray, loads: np.ndarray
+    ) -> None:
+        """Append each live trial's post-round online series entries."""
+        n = batch.n
+        viol = (loads[:, :n] > batch.bound[:, :n]).sum(axis=1)
+        for row, trial in enumerate(live):
+            live_tasks, weight, span, violations = self.series[trial]
+            live_tasks.append(int(batch.m_live[row]))
+            weight.append(self.live_weight[trial])
+            norm = loads[row, :n]
+            if batch.speeds is not None:
+                norm = norm / batch.speeds[row]
+            span.append(float(norm.max()))
+            violations.append(int(viol[row]))
 
 
 # ----------------------------------------------------------------------
@@ -1352,7 +1207,6 @@ def user_step_batch(
         else None
     )
     fifo = proto.arrival_order != "random"
-    fast = batch.fast_math
     for row in range(A):
         lo, hi = offsets[row], offsets[row + 1]
         if lo == hi:
@@ -1362,18 +1216,11 @@ def user_step_batch(
             dest[lo:hi] = rng.integers(0, n, size=hi - lo)
         else:
             dest[lo:hi] = proto.walk.step(src[lo:hi], rng)
-        if not fast:
-            moved_weight[row] = float(w_mov[lo:hi].sum())
+        moved_weight[row] = float(w_mov[lo:hi].sum())
         if fifo:
             arrival[lo:hi] = np.arange(hi - lo)
         else:
             arrival[lo:hi] = rng.permutation(hi - lo)
-    if fast:
-        # one segmented reduction instead of A slice sums (fast_math:
-        # different accumulation order, same statistics)
-        moved_weight = np.bincount(
-            mov_trial, weights=w_mov, minlength=A
-        )
 
     loads_after = batch.apply_moves(mov_abs, mov_pos, dest, arrival, loads)
     return BatchStepStats(
@@ -1440,16 +1287,11 @@ def resource_step_batch(
     # moved weight: the dense step sums the compressed sorted weights
     w_act = w_s[active]
     offsets = np.concatenate(([0], np.cumsum(k)))
-    if batch.fast_math:
-        # fast_math: one segmented reduction (different accumulation
-        # order than the dense per-trial sums, same statistics)
-        moved_weight = np.bincount(mov_trial, weights=w_act, minlength=A)
-    else:
-        moved_weight = np.zeros(A)
-        for row in range(A):
-            lo, hi = offsets[row], offsets[row + 1]
-            if lo != hi:
-                moved_weight[row] = float(w_act[lo:hi].sum())
+    moved_weight = np.zeros(A)
+    for row in range(A):
+        lo, hi = offsets[row], offsets[row + 1]
+        if lo != hi:
+            moved_weight[row] = float(w_act[lo:hi].sum())
 
     if mov_abs.shape[0] == 0:
         return BatchStepStats(

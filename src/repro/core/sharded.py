@@ -48,9 +48,9 @@ than neither, because setting one switches off glibc's dynamic
 threshold that otherwise keeps some of the churn on the heap.  The
 price is that a worker's RSS stays at its high-water mark until the
 ``run_trials`` call returns; the pool lives for that one call, so the
-memory goes back to the OS when its workers exit.  Where glibc's ``mallopt`` is not reachable (macOS, Windows,
-musl) the initializer does nothing.  The calling process's allocator is
-never touched.
+memory goes back to the OS when its workers exit.  Where glibc's
+``mallopt`` is not reachable (macOS, Windows, musl) the initializer
+does nothing.  The calling process's allocator is never touched.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _worker_init() -> None:
 
 
 def _shard_worker(
-    args: tuple[TrialSetup, list, int, bool, int | None, bool],
+    args: tuple[TrialSetup, list, int, bool, int | None],
 ) -> tuple[_ShmMeta | None, list[RunResult]]:
     """Run one shard through the batched engine in a worker process.
 
@@ -138,10 +138,10 @@ def _shard_worker(
     closes its mapping but never unlinks — the parent owns the unlink
     after copying.
     """
-    setup, seed_seqs, max_rounds, record_traces, max_batch, fast_math = args
+    setup, seed_seqs, max_rounds, record_traces, max_batch = args
     from .batch import BatchedBackend
 
-    backend = BatchedBackend(max_batch=max_batch, fast_math=fast_math)
+    backend = BatchedBackend(max_batch=max_batch)
     results = backend.run_trials(
         setup, seed_seqs, max_rounds=max_rounds, record_traces=record_traces
     )
@@ -189,18 +189,12 @@ class ShardedBackend(SimulationBackend):
         Forwarded to each worker's
         :class:`~repro.core.batch.BatchedBackend` (chunk size within a
         shard; results are independent of it).
-    fast_math:
-        Forwarded likewise — waives the bit-exactness contract inside
-        every shard (see ``BatchedBackend``).  Default False.
     """
 
     name = "sharded"
 
     def __init__(
-        self,
-        workers: int = -1,
-        max_batch: int | None = None,
-        fast_math: bool = False,
+        self, workers: int = -1, max_batch: int | None = None
     ) -> None:
         if workers is None:
             raise ValueError(
@@ -212,7 +206,6 @@ class ShardedBackend(SimulationBackend):
             raise ValueError("max_batch must be positive")
         self.workers = int(workers)
         self.max_batch = max_batch
-        self.fast_math = bool(fast_math)
 
     # ------------------------------------------------------------------
     def run_trials(
@@ -239,9 +232,7 @@ class ShardedBackend(SimulationBackend):
                 ShardedDegradationWarning,
                 stacklevel=2,
             )
-            return BatchedBackend(
-                max_batch=self.max_batch, fast_math=self.fast_math
-            ).run_trials(
+            return BatchedBackend(max_batch=self.max_batch).run_trials(
                 setup,
                 seed_seqs,
                 max_rounds=max_rounds,
@@ -258,7 +249,6 @@ class ShardedBackend(SimulationBackend):
                 max_rounds,
                 record_traces,
                 self.max_batch,
-                self.fast_math,
             )
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo

@@ -6,23 +6,27 @@ paper's *balancing time*) or a round budget is exhausted, recording the
 trajectories that the analysis module consumes (potential, overload
 count, migration volume, maximum load).
 
-States carrying a compiled :class:`~repro.workloads.dynamics.\
-DynamicsSchedule` run the *online* variant of the loop instead: each
-round first applies departures and arrivals, optionally recomputes the
-threshold from the live workload, then executes one protocol round.
-The run ends once the schedule has no further events and the system is
-balanced.  Dynamic runs always record the online time series
+The paper's one-shot model, every task present at round 0, is the
+empty-stream case of the online regime, so one loop serves both.  A
+state carrying a compiled :class:`~repro.workloads.dynamics.\
+DynamicsSchedule` adds an event step to each round: departures, then
+arrivals, then (if the schedule carries a policy) a threshold
+recomputed from the live workload, before the protocol round.  Such a
+run ends once the schedule has no further events and the system is
+balanced, and it always records the online time series
 (``live_tasks_trace``, ``total_weight_trace``, ``makespan_trace``,
 ``violation_trace``) — they are the point of the regime.  With an empty
-schedule the online loop degenerates to the one-shot loop exactly
-(same protocol RNG stream, same round count, same traces), which is the
-bit-for-bit equivalence the dynamics property suite gates on.
+schedule the event step does nothing, so the run matches the one-shot
+run exactly (same protocol RNG stream, same round count, same traces),
+which is the bit-for-bit equivalence the dynamics property suite gates
+on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -163,6 +167,32 @@ class _TraceBuffer:
         return self.data[: self.size].copy()
 
 
+#: :class:`RunResult` fields of the protocol-round trajectories and of
+#: the online time series, in the order the engines buffer them.
+_TRACE_FIELDS = (
+    "potential_trace",
+    "overloaded_trace",
+    "movers_trace",
+    "max_load_trace",
+)
+_SERIES_FIELDS = (
+    "live_tasks_trace",
+    "total_weight_trace",
+    "makespan_trace",
+    "violation_trace",
+)
+
+
+def _buffer_fields(
+    names: tuple[str, ...], buffers: list[_TraceBuffer] | None
+) -> dict[str, Any]:
+    """:class:`RunResult` keyword arguments from a run's buffers (none
+    when the run did not record them)."""
+    if buffers is None:
+        return {}
+    return {name: buf.array() for name, buf in zip(names, buffers)}
+
+
 def simulate(
     protocol: Protocol,
     state: SystemState,
@@ -179,7 +209,8 @@ def simulate(
     max_rounds:
         Safety budget; runs that exhaust it are returned with
         ``balanced=False`` rather than raising, so experiment sweeps can
-        report censored points honestly.
+        report censored points honestly.  A dynamic run cut off before
+        its schedule ends reports whether its last loads were in bound.
     record_traces:
         Record per-round potential / overload / migration / max-load
         trajectories (costs one stack partition per round — the
@@ -197,21 +228,9 @@ def simulate(
         raise ValueError("max_rounds must be non-negative")
     protocol.validate_state(state)
 
-    if state.dynamics is not None:
-        return _simulate_dynamic(
-            protocol,
-            state,
-            rng,
-            max_rounds=max_rounds,
-            record_traces=record_traces,
-            check_invariants=check_invariants,
-            on_round=on_round,
-        )
-
-    pot = _TraceBuffer() if record_traces else None
-    over = _TraceBuffer() if record_traces else None
-    move = _TraceBuffer() if record_traces else None
-    peak = _TraceBuffer() if record_traces else None
+    traces = [_TraceBuffer() for _ in range(4)] if record_traces else None
+    events = _EventStep(state) if state.dynamics is not None else None
+    last_event = events.last_event if events is not None else 0
 
     total_migrations = 0
     total_weight_moved = 0.0
@@ -224,122 +243,18 @@ def simulate(
     loads = state.loads()
     balanced = bool(np.all(loads <= bound))
 
-    while not balanced and rounds < max_rounds:
-        stats = protocol.step(state, rng)
-        rounds += 1
-        total_migrations += stats.movers
-        total_weight_moved += stats.moved_weight
-        if record_traces:
-            pot.append(stats.potential_before)
-            over.append(stats.overloaded_before)
-            move.append(stats.movers)
-            peak.append(stats.max_load_before)
-        if check_invariants:
-            state.check_invariants()
-        loads = (
-            stats.loads_after
-            if stats.loads_after is not None
-            else state.loads()
-        )
-        balanced = bool(np.all(loads <= bound))
-        if on_round is not None and on_round(rounds, state, stats) is False:
-            break
-
-    return RunResult(
-        balanced=balanced,
-        rounds=rounds,
-        final_loads=loads,
-        threshold=state.threshold,
-        total_migrations=total_migrations,
-        total_migrated_weight=total_weight_moved,
-        potential_trace=pot.array() if record_traces else None,
-        overloaded_trace=over.array() if record_traces else None,
-        movers_trace=move.array() if record_traces else None,
-        max_load_trace=peak.array() if record_traces else None,
-        protocol_name=protocol.name,
-        speeds=state.speeds,
-    )
-
-
-def _simulate_dynamic(
-    protocol: Protocol,
-    state: SystemState,
-    rng: np.random.Generator,
-    max_rounds: int,
-    record_traces: bool,
-    check_invariants: bool,
-    on_round: Callable[[int, SystemState, StepStats], object] | None,
-) -> RunResult:
-    """The online variant of :func:`simulate`.
-
-    Round ``t`` (1-based): remove tasks departing at ``t``, insert the
-    schedule's round-``t`` arrivals, recompute the threshold if the
-    population changed (and the schedule carries a policy), then run one
-    protocol round.  The run ends when the schedule is exhausted *and*
-    the system is balanced — with no events at all this is exactly the
-    one-shot termination rule, and the loop body matches the one-shot
-    loop operation for operation (the bit-equivalence contract).
-    """
-    sched = state.dynamics
-
-    pot = _TraceBuffer() if record_traces else None
-    over = _TraceBuffer() if record_traces else None
-    move = _TraceBuffer() if record_traces else None
-    peak = _TraceBuffer() if record_traces else None
-    live_buf = _TraceBuffer()
-    weight_buf = _TraceBuffer()
-    span_buf = _TraceBuffer()
-    viol_buf = _TraceBuffer()
-
-    # departure rounds of the *live* population, aligned with task order
-    depart = sched.initial_depart.copy()
-    arrive_round = sched.arrive_round
-    ptr = 0  # arrivals consumed so far
-
-    total_migrations = 0
-    total_weight_moved = 0.0
-    total_weight = float(state.weights.sum())
-    rounds = 0
-    last_event = sched.last_event_round
-    bound = state.capacity_vector() + state.atol
-    loads = state.loads()
-    balanced = bool(np.all(loads <= bound))
-
-    while rounds < max_rounds:
-        t = rounds + 1
-        if balanced and t > last_event:
-            break
-
-        changed = False
-        dep = np.flatnonzero(depart == t)
-        if dep.size:
-            total_weight -= float(state.weights[dep].sum())
-            state.remove_tasks(dep)
-            depart = np.delete(depart, dep)
-            changed = True
-        hi = int(np.searchsorted(arrive_round, t, side="right"))
-        if hi > ptr:
-            w_new = sched.arrive_weight[ptr:hi]
-            total_weight += float(w_new.sum())
-            state.add_tasks(w_new, sched.arrive_place[ptr:hi])
-            depart = np.concatenate([depart, sched.arrive_depart[ptr:hi]])
-            ptr = hi
-            changed = True
-        if changed and sched.policy is not None and state.m:
-            state.threshold = sched.policy.compute_for(
-                state.weights, state.n, speeds=state.speeds
-            )
+    while rounds < max_rounds and not (balanced and rounds >= last_event):
+        if events is not None and events.apply(state, rounds + 1):
             bound = state.capacity_vector() + state.atol
-
         stats = protocol.step(state, rng)
         rounds += 1
         total_migrations += stats.movers
         total_weight_moved += stats.moved_weight
-        if record_traces:
-            pot.append(stats.potential_before)
-            over.append(stats.overloaded_before)
-            move.append(stats.movers)
-            peak.append(stats.max_load_before)
+        if traces is not None:
+            traces[0].append(stats.potential_before)
+            traces[1].append(stats.overloaded_before)
+            traces[2].append(stats.movers)
+            traces[3].append(stats.max_load_before)
         if check_invariants:
             state.check_invariants()
         loads = (
@@ -348,12 +263,8 @@ def _simulate_dynamic(
             else state.loads()
         )
         balanced = bool(np.all(loads <= bound))
-
-        live_buf.append(state.m)
-        weight_buf.append(total_weight)
-        norm = loads if state.speeds is None else loads / state.speeds
-        span_buf.append(float(norm.max()) if state.n else 0.0)
-        viol_buf.append(int((loads > bound).sum()))
+        if events is not None:
+            events.record(state, loads, bound)
         if on_round is not None and on_round(rounds, state, stats) is False:
             break
 
@@ -364,14 +275,69 @@ def _simulate_dynamic(
         threshold=state.threshold,
         total_migrations=total_migrations,
         total_migrated_weight=total_weight_moved,
-        potential_trace=pot.array() if record_traces else None,
-        overloaded_trace=over.array() if record_traces else None,
-        movers_trace=move.array() if record_traces else None,
-        max_load_trace=peak.array() if record_traces else None,
         protocol_name=protocol.name,
         speeds=state.speeds,
-        live_tasks_trace=live_buf.array(),
-        total_weight_trace=weight_buf.array(),
-        makespan_trace=span_buf.array(),
-        violation_trace=viol_buf.array(),
+        **_buffer_fields(_TRACE_FIELDS, traces),
+        **_buffer_fields(_SERIES_FIELDS, events.series if events else None),
     )
+
+
+class _EventStep:
+    """The event step of a dense run on a state with a schedule.
+
+    Round ``t`` (1-based) removes the tasks departing at ``t``, inserts
+    the schedule's round-``t`` arrivals and, if the population changed
+    and the schedule carries a policy, recomputes the threshold from the
+    live workload.  :meth:`record` then appends the round's online time
+    series entries, which describe the state *after* the protocol round.
+    """
+
+    def __init__(self, state: SystemState) -> None:
+        sched = state.dynamics
+        assert sched is not None
+        self.sched = sched
+        self.last_event = sched.last_event_round
+        # departure rounds of the *live* population, aligned with task order
+        self.depart = sched.initial_depart.copy()
+        self.ptr = 0  # arrivals consumed so far
+        self.total_weight = float(state.weights.sum())
+        self.series = [_TraceBuffer() for _ in range(4)]
+
+    def apply(self, state: SystemState, t: int) -> bool:
+        """Apply round ``t``'s events; True if the threshold changed."""
+        sched = self.sched
+        changed = False
+        dep = np.flatnonzero(self.depart == t)
+        if dep.size:
+            self.total_weight -= float(state.weights[dep].sum())
+            state.remove_tasks(dep)
+            self.depart = np.delete(self.depart, dep)
+            changed = True
+        lo = self.ptr
+        hi = int(np.searchsorted(sched.arrive_round, t, side="right"))
+        if hi > lo:
+            w_new = sched.arrive_weight[lo:hi]
+            self.total_weight += float(w_new.sum())
+            state.add_tasks(w_new, sched.arrive_place[lo:hi])
+            self.depart = np.concatenate(
+                [self.depart, sched.arrive_depart[lo:hi]]
+            )
+            self.ptr = hi
+            changed = True
+        if not (changed and sched.policy is not None and state.m):
+            return False
+        state.threshold = sched.policy.compute_for(
+            state.weights, state.n, speeds=state.speeds
+        )
+        return True
+
+    def record(
+        self, state: SystemState, loads: np.ndarray, bound: np.ndarray
+    ) -> None:
+        """Append the post-round online series entries."""
+        live, weight, span, viol = self.series
+        live.append(state.m)
+        weight.append(self.total_weight)
+        norm = loads if state.speeds is None else loads / state.speeds
+        span.append(float(norm.max()) if state.n else 0.0)
+        viol.append(int((loads > bound).sum()))

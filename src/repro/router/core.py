@@ -86,6 +86,33 @@ __all__ = ["Decision", "Router", "RouterMetrics"]
 OVERFLOW_MODES = ("place", "reject")
 
 
+def _check_weights(w: float | np.ndarray) -> None:
+    """Reject task weights that are not finite and strictly positive.
+
+    Takes one weight or a whole batch (one vectorised pass); NaN fails
+    every comparison, so it is rejected along with zero, negatives and
+    infinities.  Called before a verb touches any state, counter or
+    generator, so a rejected call leaves the router as it was.
+    """
+    lo, hi = (w, w) if isinstance(w, float) else (w.min(), w.max())
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError("task weight must be finite and strictly positive")
+
+
+def _task_ids(ids: Iterable[int]) -> np.ndarray:
+    """``ids`` as a flat int64 array; non-integral ids raise."""
+    raw = np.asarray(ids).reshape(-1)
+    if raw.dtype.kind in "iu" or raw.size == 0:
+        return raw.astype(np.int64, copy=False)
+    if (
+        raw.dtype.kind == "f"
+        and bool(np.isfinite(raw).all())
+        and bool((raw == np.trunc(raw)).all())
+    ):
+        return raw.astype(np.int64)
+    raise ValueError("task ids must be integers")
+
+
 def _sorted_member_positions(
     haystack: np.ndarray, needles: np.ndarray
 ) -> np.ndarray:
@@ -460,8 +487,7 @@ class Router:
         """
         t0 = self._clock()
         w = float(weight)
-        if w <= 0:
-            raise ValueError("task weight must be strictly positive")
+        _check_weights(w)
         n = self.state.n
         if origin is not None and not 0 <= origin < n:
             raise ValueError(f"origin resource {origin} out of range")
@@ -548,8 +574,7 @@ class Router:
         k = int(w.shape[0])
         if k == 0:
             return []
-        if float(w.min()) <= 0:
-            raise ValueError("task weight must be strictly positive")
+        _check_weights(w)
         n = self.state.n
         org: np.ndarray | None = None
         if origins is not None:
@@ -747,8 +772,7 @@ class Router:
         that already decided the destination.
         """
         w = float(weight)
-        if w <= 0:
-            raise ValueError("task weight must be strictly positive")
+        _check_weights(w)
         if not 0 <= resource < self.state.n:
             raise ValueError(f"resource {resource} out of range")
         self._ingested += 1
@@ -778,8 +802,7 @@ class Router:
         k = int(w.shape[0])
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        if float(w.min()) <= 0:
-            raise ValueError("task weight must be strictly positive")
+        _check_weights(w)
         if int(r.min()) < 0 or int(r.max()) >= self.state.n:
             raise ValueError("resource out of range")
         ids = np.arange(self._next_id, self._next_id + k, dtype=np.int64)
@@ -796,11 +819,10 @@ class Router:
 
         Capacity is released immediately (subsequent decisions see the
         freed headroom); the task arrays compact at the next tick.
-        Unknown or already-departed ids are ignored.
+        Unknown or already-departed ids are ignored; non-integral ids
+        raise before anything is released.
         """
-        wanted = np.asarray(ids, dtype=np.int64)
-        if wanted.ndim != 1:
-            wanted = wanted.reshape(-1)
+        wanted = _task_ids(ids)
         if wanted.size == 0:
             return 0
         if wanted.size > 1 and not bool((wanted[1:] > wanted[:-1]).all()):

@@ -4,11 +4,12 @@ The router's correctness story: feed the *same* compiled
 :class:`~repro.workloads.dynamics.DynamicsSchedule` through the router
 that :func:`~repro.core.simulator.simulate` would consume, with the
 same protocol RNG stream, and the placements, round count and final
-loads come out bit-for-bit identical.  :func:`replay` implements the
-round loop of ``_simulate_dynamic`` operation for operation —
-departures, then arrivals, then an optional rethreshold, then exactly
-one protocol round — but every population mutation goes through the
-router's ingestion verbs (:meth:`~repro.router.core.Router.depart`,
+loads come out bit-for-bit identical.  :func:`replay` repeats the
+round loop of :func:`~repro.core.simulator.simulate` on a state with a
+schedule operation for operation — departures, then arrivals, then an
+optional rethreshold, then exactly one protocol round — but every
+population mutation goes through the router's ingestion verbs
+(:meth:`~repro.router.core.Router.depart`,
 :meth:`~repro.router.core.Router.submit`,
 :meth:`~repro.router.core.Router.tick`), so the equivalence gate
 exercises the same code paths live traffic does.

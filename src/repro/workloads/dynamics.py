@@ -41,6 +41,7 @@ lifetime ``L`` is therefore present for rounds ``t .. t + L - 1``.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -407,6 +408,10 @@ class TraceDynamics(DynamicsSpec):
                 )
             if entry[0] < 1:
                 raise ValueError("trace arrivals start at round 1")
+            if not 0 < entry[1] < math.inf:
+                raise ValueError(
+                    "trace weights must be finite and strictly positive"
+                )
             if len(entry) == 4 and entry[3] is not None and entry[3] < 1:
                 raise ValueError("trace lifetimes must be >= 1")
 

@@ -28,6 +28,7 @@ TraceDynamics` re-sorts arrivals by round at compile time.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .dynamics import TraceDynamics
@@ -89,7 +90,8 @@ def _load_arrival(event, path, line_no, arrivals, by_id) -> None:
         raise ValueError(
             f"{path}:{line_no}: arrival round must be an integer >= 1"
         )
-    if not isinstance(w, (int, float)) or w <= 0:
+    # json parses NaN and Infinity; `0 < w < inf` rejects both
+    if not isinstance(w, (int, float)) or not 0 < w < math.inf:
         raise ValueError(f"{path}:{line_no}: weight must be a positive number")
     if not isinstance(r, int) or r < 0:
         raise ValueError(

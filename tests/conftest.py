@@ -8,6 +8,7 @@ import pytest
 from repro import (
     AboveAverageThreshold,
     SystemState,
+    TraceDynamics,
     complete_graph,
     cycle_graph,
     grid_graph,
@@ -59,3 +60,26 @@ def small_state() -> SystemState:
         4,
         AboveAverageThreshold(eps=0.2),
     )
+
+
+@pytest.fixture
+def add_stream():
+    """Turn a one-shot state into a dynamic one: a trace piles four
+    tasks onto resource 0 in rounds 1-4, two of which depart again, and
+    recomputes the above-average threshold (eps=0.2) on every change."""
+    trace = TraceDynamics(
+        arrivals=((1, 2.0, 0), (2, 1.0, 0, 3), (3, 2.0, 0), (4, 1.0, 0, 2)),
+        rethreshold=True,
+    )
+
+    def attach(state: SystemState) -> SystemState:
+        state.dynamics = trace.compile(
+            state.n,
+            state.m,
+            np.random.default_rng(0),
+            None,
+            AboveAverageThreshold(eps=0.2),
+        )
+        return state
+
+    return attach

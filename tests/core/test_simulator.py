@@ -133,14 +133,16 @@ class TestAccounting:
         }
         assert s["balanced"] is True
 
-    def test_invariant_checking_mode(self):
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_invariant_checking_mode(self, dynamic, add_stream):
         res = simulate(
             UserControlledProtocol(),
-            mk_state(),
+            add_stream(mk_state()) if dynamic else mk_state(),
             np.random.default_rng(9),
             check_invariants=True,
         )
         assert res.balanced
+        assert res.dynamic is dynamic
 
     def test_state_mutated_in_place(self):
         st = mk_state()

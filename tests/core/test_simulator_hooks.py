@@ -51,18 +51,21 @@ class TestOnRoundHook:
         # load spreads out: the final snapshot is below the initial pile
         assert max_loads[-1] < 60.0
 
-    def test_early_stop(self):
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_early_stop(self, dynamic, add_stream):
         def hook(round_index, state, stats):
             return round_index < 3
 
+        state = mk_state(200, 4)
         res = simulate(
             UserControlledProtocol(alpha=0.05),
-            mk_state(200, 4),
+            add_stream(state) if dynamic else state,
             np.random.default_rng(2),
             on_round=hook,
         )
         assert res.rounds == 3
         assert not res.balanced  # stopped while unbalanced -> censored
+        assert res.dynamic is dynamic
 
     def test_stop_after_balancing_still_balanced(self):
         def hook(round_index, state, stats):

@@ -260,29 +260,39 @@ DYNAMIC_CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", ("process", "batched"))
+@pytest.mark.parametrize(
+    "max_rounds",
+    # 12 rounds cuts every run off mid-stream: each schedule still has
+    # arrivals and departures to come (Poisson horizon 30)
+    [2000, 12],
+    ids=["to-completion", "censored-mid-stream"],
+)
+@pytest.mark.parametrize("backend", ("process", "batched", "sharded"))
 @pytest.mark.parametrize("family", sorted(DYNAMIC_CASES))
-def test_dynamic_runs_backend_independent(family, backend):
+def test_dynamic_runs_backend_independent(family, backend, max_rounds):
     case = DYNAMIC_CASES[family]
     serial = run_trials(
         case["setup"](),
         case["trials"],
         seed=case["seed"],
-        max_rounds=2000,
+        max_rounds=max_rounds,
         record_traces=True,
     )
     other = run_trials(
         case["setup"](),
         case["trials"],
         seed=case["seed"],
-        max_rounds=2000,
+        max_rounds=max_rounds,
         record_traces=True,
         backend=backend,
+        workers=2 if backend == "sharded" else None,
     )
     assert runs_equal(serial, other)
     assert traces_equal(serial, other)
     assert all(r.dynamic for r in serial)
     assert all(r.live_tasks_trace is not None for r in serial)
+    if max_rounds < 2000:
+        assert all(r.rounds == max_rounds for r in serial)
 
 
 @pytest.mark.parametrize("family", sorted(DYNAMIC_CASES))

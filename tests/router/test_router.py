@@ -253,6 +253,71 @@ class TestSubmitAndDepart:
         assert b == a + 1
 
 
+def router_state(router):
+    """Everything a rejected call must leave untouched: live loads,
+    task arrays, the arrival buffer, every integer counter and the
+    generator state."""
+    return (
+        router.loads().tolist(),
+        router.state.weights.tolist(),
+        router.state.resource.tolist(),
+        list(router._pend_ids),
+        {k: v for k, v in vars(router).items() if isinstance(v, int)},
+        router.rng.bit_generator.state,
+    )
+
+
+BAD_WEIGHTS = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+
+class TestBoundaryValidation:
+    """Invalid input raises before any verb mutates the router."""
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, w: r.choose_resource(w),
+            lambda r, w: r.choose_resource(w, origin=1),
+            lambda r, w: r.submit(w, 0),
+            lambda r, w: r.choose_many([1.0, w, 1.0]),
+            lambda r, w: r.choose_many([1.0, w], origins=[0, 1]),
+            lambda r, w: r.submit_many([1.0, w, 1.0], [0, 1, 2]),
+        ],
+        ids=[
+            "choose_resource",
+            "choose_resource-origin",
+            "submit",
+            "choose_many",
+            "choose_many-origins",
+            "submit_many",
+        ],
+    )
+    def test_rejects_bad_weight_untouched(self, call, bad):
+        router = make_router(threshold=100.0)
+        router.choose_resource(1.0)  # some history to preserve
+        before = router_state(router)
+        with pytest.raises(ValueError, match="weight"):
+            call(router, bad)
+        assert router_state(router) == before
+        assert np.isfinite(router.metrics_snapshot().makespan)
+
+    @pytest.mark.parametrize("ids", [[1.7], [0, 2.5], [np.nan], [np.inf]])
+    def test_depart_rejects_non_integral_ids(self, ids):
+        router = make_router()
+        router.submit(1.0, 3)
+        before = router_state(router)
+        with pytest.raises(ValueError, match="integer"):
+            router.depart(ids)
+        assert router_state(router) == before
+
+    def test_depart_accepts_integral_floats_and_empty(self):
+        router = make_router()
+        assert router.depart([]) == 0
+        assert router.depart(np.array([1.0])) == 1
+        assert router.loads().sum() == pytest.approx(4.0)
+
+
 class TestTickAndThreshold:
     def test_tick_flushes_and_steps(self):
         router = make_router(threshold=100.0)

@@ -119,6 +119,26 @@ class TestErrors:
         with pytest.raises(ValueError, match=match):
             load_trace_jsonl(p)
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_reports_line(self, tmp_path, weight):
+        # Python's json accepts these literals; the loader must not
+        p = write(
+            tmp_path,
+            '{"round": 1, "weight": 1, "resource": 0}\n'
+            f'{{"round": 2, "weight": {weight}, "resource": 0}}\n',
+        )
+        with pytest.raises(
+            ValueError, match=r"trace\.jsonl:2: weight must be a positive"
+        ):
+            load_trace_jsonl(p)
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_trace_dynamics_rejects_bad_weight(self, weight):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            TraceDynamics(arrivals=((1, 1.0, 0), (2, weight, 0)))
+
     def test_duplicate_task_id(self, tmp_path):
         p = write(
             tmp_path,
